@@ -283,6 +283,12 @@ func main() {
 				row.MergedRecords, experiments.FormatBytes(row.SavedBytes), row.OutputsIdentical)
 		}
 		fmt.Println()
+		for _, row := range r.Rows {
+			if !row.OutputsIdentical || row.ShuffleBytesOn >= row.ShuffleBytesOff {
+				exitErr("e16", fmt.Errorf("%s: outputs identical %v, shuffle %d -> %d bytes; want identical and smaller",
+					row.Workload, row.OutputsIdentical, row.ShuffleBytesOff, row.ShuffleBytesOn))
+			}
+		}
 	}
 	if sel("e17") {
 		side := 48

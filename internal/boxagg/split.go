@@ -101,35 +101,63 @@ type RoutedPair struct {
 // Fig. 7): within each cluster of transitively dim-0-overlapping boxes,
 // every member is fragmented at every other member's boundaries in every
 // dimension, so all surviving boxes of a variable are equal or disjoint.
+// It is the whole-slice form of OverlapSplitter.
 func SplitOverlaps(in []Pair, elemSize int) []Pair {
 	out := make([]Pair, 0, len(in))
-	var cluster []Pair
-	maxHi := 0
-	flush := func() {
-		out = append(out, splitCluster(cluster, elemSize)...)
-		cluster = cluster[:0]
-	}
+	s := OverlapSplitter{ElemSize: elemSize}
 	for _, p := range in {
-		if len(cluster) > 0 &&
-			(p.Key.Var != cluster[0].Key.Var || p.Key.Box.Corner[0] >= maxHi) {
-			flush()
-		}
-		if len(cluster) == 0 {
-			maxHi = p.Key.Box.Corner[0] + p.Key.Box.Size[0]
-		} else if hi := p.Key.Box.Corner[0] + p.Key.Box.Size[0]; hi > maxHi {
-			maxHi = hi
-		}
-		cluster = append(cluster, p)
+		out = append(out, s.Push(p)...)
 	}
-	if len(cluster) > 0 {
-		flush()
+	return append(out, s.Flush()...)
+}
+
+// OverlapSplitter is the streaming form of SplitOverlaps: fed Pairs in
+// keys.CompareBox order, it buffers one cluster of transitively
+// dim-0-overlapping boxes at a time. A cluster ends when a box of another
+// variable arrives or one whose Corner[0] reaches the cluster's largest
+// dim-0 upper bound; since every box covers at least one cell, a box equal
+// to its predecessor never ends a cluster.
+type OverlapSplitter struct {
+	// ElemSize is the byte width of one value in a Pair's payload.
+	ElemSize int
+
+	cluster, done []Pair
+	maxHi         int
+}
+
+// Push adds the next pair and returns the fragments of the cluster it
+// closes, if any. The returned slice is valid until the next call.
+func (s *OverlapSplitter) Push(p Pair) []Pair {
+	var out []Pair
+	if len(s.cluster) > 0 &&
+		(p.Key.Var != s.cluster[0].Key.Var || p.Key.Box.Corner[0] >= s.maxHi) {
+		out = s.Flush()
 	}
+	hi := p.Key.Box.Corner[0] + p.Key.Box.Size[0]
+	if len(s.cluster) == 0 || hi > s.maxHi {
+		s.maxHi = hi
+	}
+	s.cluster = append(s.cluster, p)
+	return out
+}
+
+// Flush returns the fragments of the buffered cluster in keys.CompareBox
+// order and empties the splitter. The returned slice is valid until the
+// next call.
+func (s *OverlapSplitter) Flush() []Pair {
+	if len(s.cluster) == 0 {
+		return nil
+	}
+	out := splitCluster(s.cluster, s.ElemSize)
+	// The result may alias the cluster buffer, so the next cluster fills
+	// the other one.
+	s.cluster, s.done = s.done[:0], s.cluster
 	return out
 }
 
 func splitCluster(cluster []Pair, elemSize int) []Pair {
 	if len(cluster) == 1 {
-		return []Pair{cluster[0]}
+		return cluster
 	}
 	// Check whether any pair actually overlaps; dim-0 clustering is
 	// conservative.

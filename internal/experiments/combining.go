@@ -23,7 +23,7 @@ type E16Row struct {
 	// Workload is "max/simple", "max/agg", or "max/boxes".
 	Workload string
 	// ShuffleBytesOff / ShuffleBytesOn are segment bytes fetched by
-	// reducers without and with combining.
+	// reducers without and with in-node combining.
 	ShuffleBytesOff int64
 	ShuffleBytesOn  int64
 	// ReductionPct is the shuffle-byte reduction from combining.
@@ -49,10 +49,11 @@ type E16Result struct {
 }
 
 // E16InNodeCombining runs the combining experiment on a side×side dataset.
-// All map tasks share one combine buffer (CombineNodes=1): the runs are
-// in-process, so the single-node grouping is the honest placement, and it
-// lets the simple-key workload — whose per-task duplicates the map-side
-// combiner already folds — meet its cross-task halo duplicates.
+// Both runs fold each spill through the operator's monoid; "on" adds the
+// in-node pass. All map tasks share one combine buffer (CombineNodes=1):
+// the runs are in-process, so the single-node grouping is the honest
+// placement, and it lets every workload — whose per-task duplicates the
+// spill combiner already folds — meet its cross-task halo duplicates.
 func E16InNodeCombining(side int, ob *obs.Observer) (E16Result, error) {
 	fs, qcfg, err := MedianSetup(side)
 	if err != nil {

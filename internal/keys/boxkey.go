@@ -48,9 +48,11 @@ func (c *Codec) BoxKeyBytes(k BoxKey) []byte {
 	return out.Bytes()
 }
 
-// DecodeBox parses a BoxKey from in.
+// DecodeBox parses a BoxKey from in. A box with a zero or negative size in
+// any dimension is rejected: every box key covers at least one cell, which
+// the reduce-side overlap splitter's cluster rule relies on.
 func (c *Codec) DecodeBox(in *serial.DataInput) (BoxKey, error) {
-	v, err := c.readVar(in)
+	v, err := c.readKeyVar(in)
 	if err != nil {
 		return BoxKey{}, err
 	}
@@ -68,8 +70,8 @@ func (c *Codec) DecodeBox(in *serial.DataInput) (BoxKey, error) {
 		if err != nil {
 			return BoxKey{}, err
 		}
-		if s < 0 {
-			return BoxKey{}, fmt.Errorf("keys: negative box size %d", s)
+		if s <= 0 {
+			return BoxKey{}, fmt.Errorf("keys: empty box size %d in dimension %d", s, i)
 		}
 		size[i] = int(s)
 	}

@@ -18,6 +18,7 @@ package keys
 import (
 	"fmt"
 
+	"scikey/internal/binutil"
 	"scikey/internal/grid"
 	"scikey/internal/serial"
 	"scikey/internal/sfc"
@@ -112,6 +113,20 @@ func (c *Codec) readVar(in *serial.DataInput) (VarRef, error) {
 	return VarRef{}, fmt.Errorf("keys: bad VarMode %d", c.Mode)
 }
 
+// readKeyVar is readVar for the aggregate and box decoders, which also
+// reject an over-long name length prefix: Hadoop's VInt decoder takes one,
+// but an aggregate or box key has exactly one byte form. Simple keys,
+// decoded on every comparison of a median job, keep the plain parse.
+func (c *Codec) readKeyVar(in *serial.DataInput) (VarRef, error) {
+	start := in.Pos()
+	v, err := c.readVar(in)
+	if err == nil && c.Mode == VarByName &&
+		in.Pos()-start != binutil.VLongLen(int64(len(v.Name)))+len(v.Name) {
+		return VarRef{}, fmt.Errorf("keys: non-canonical variable name length")
+	}
+	return v, err
+}
+
 // EncodeGrid appends k's byte form to out: [var][coord0 i32]...[coordN i32].
 // With VarByName and "windspeed1" in 4-D this is the paper's 27-byte key
 // (6.75x a 4-byte value).
@@ -177,9 +192,11 @@ func (c *Codec) AggKeyBytes(k AggKey) []byte {
 	return out.Bytes()
 }
 
-// DecodeAgg parses an AggKey from in.
+// DecodeAgg parses an AggKey from in. An empty range (Lo >= Hi) is
+// rejected: every aggregate key covers at least one cell, which the
+// reduce-side overlap splitter's cluster rule relies on.
 func (c *Codec) DecodeAgg(in *serial.DataInput) (AggKey, error) {
-	v, err := c.readVar(in)
+	v, err := c.readKeyVar(in)
 	if err != nil {
 		return AggKey{}, err
 	}
@@ -190,6 +207,9 @@ func (c *Codec) DecodeAgg(in *serial.DataInput) (AggKey, error) {
 	hi, err := in.ReadU64()
 	if err != nil {
 		return AggKey{}, err
+	}
+	if lo >= hi {
+		return AggKey{}, fmt.Errorf("keys: empty aggregate range [%d,%d)", lo, hi)
 	}
 	return AggKey{Var: v, Range: sfc.IndexRange{Lo: lo, Hi: hi}}, nil
 }

@@ -136,33 +136,55 @@ func HashPartition(key []byte, numReducers int) int {
 // overlapping keys along the overlap boundaries (Fig. 7), so that after
 // splitting, any two output ranges of the same variable are either equal or
 // disjoint. Equal output keys are adjacent, ready for grouped reduction.
-//
-// The sweep is streaming in the sense of Section IV-D: it buffers only one
-// "cluster" of transitively overlapping keys at a time (bounded by the
-// overlap depth, e.g. halo width in the sliding-median query), not the
-// whole stream.
+// It is the whole-slice form of OverlapSplitter.
 func SplitOverlaps(in []AggPair, elemSize int) []AggPair {
 	out := make([]AggPair, 0, len(in))
-	var cluster []AggPair
-	var clusterMaxHi uint64
-	flush := func() {
-		out = append(out, splitCluster(cluster, elemSize)...)
-		cluster = cluster[:0]
-		clusterMaxHi = 0
-	}
+	s := OverlapSplitter{ElemSize: elemSize}
 	for _, p := range in {
-		if len(cluster) > 0 &&
-			(p.Key.Var != cluster[0].Key.Var || p.Key.Range.Lo >= clusterMaxHi) {
-			flush()
-		}
-		cluster = append(cluster, p)
-		if p.Key.Range.Hi > clusterMaxHi {
-			clusterMaxHi = p.Key.Range.Hi
-		}
+		out = append(out, s.Push(p)...)
 	}
-	if len(cluster) > 0 {
-		flush()
+	return append(out, s.Flush()...)
+}
+
+// OverlapSplitter is the streaming overlap split of Section IV-D: fed
+// AggPairs in CompareAgg order, it buffers only one "cluster" of
+// transitively overlapping keys at a time (bounded by the overlap depth,
+// e.g. the halo width in the sliding-median query), not the whole stream.
+// A cluster ends when a key of another variable arrives or one whose range
+// starts at or past the cluster's largest Hi; since every key covers at
+// least one index, a key equal to its predecessor never ends a cluster.
+type OverlapSplitter struct {
+	// ElemSize is the byte width of one value in an AggPair's payload.
+	ElemSize int
+
+	cluster, done []AggPair
+	maxHi         uint64
+}
+
+// Push adds the next pair and returns the fragments of the cluster it
+// closes, if any. The returned slice is valid until the next call.
+func (s *OverlapSplitter) Push(p AggPair) []AggPair {
+	var out []AggPair
+	if len(s.cluster) > 0 &&
+		(p.Key.Var != s.cluster[0].Key.Var || p.Key.Range.Lo >= s.maxHi) {
+		out = s.Flush()
 	}
+	s.cluster = append(s.cluster, p)
+	s.maxHi = max(s.maxHi, p.Key.Range.Hi)
+	return out
+}
+
+// Flush returns the fragments of the buffered cluster in CompareAgg order
+// and empties the splitter. The returned slice is valid until the next call.
+func (s *OverlapSplitter) Flush() []AggPair {
+	if len(s.cluster) == 0 {
+		return nil
+	}
+	out := splitCluster(s.cluster, s.ElemSize)
+	// The result may alias the cluster buffer, so the next cluster fills
+	// the other one.
+	s.cluster, s.done = s.done[:0], s.cluster
+	s.maxHi = 0
 	return out
 }
 
@@ -171,7 +193,7 @@ func SplitOverlaps(in []AggPair, elemSize int) []AggPair {
 // order.
 func splitCluster(cluster []AggPair, elemSize int) []AggPair {
 	if len(cluster) == 1 {
-		return []AggPair{cluster[0]}
+		return cluster
 	}
 	// Collect the distinct cut points.
 	cuts := make([]uint64, 0, 2*len(cluster))

@@ -107,9 +107,10 @@ func TestMapCacheDifferential(t *testing.T) {
 		mut  func(job *Job)
 	}{
 		{"plain", func(job *Job) {}},
-		{"map_side_combiner", func(job *Job) { job.NewCombiner = job.NewReducer }},
+		{"map_side_combiner", func(job *Job) { job.Combiner = SumInt32 }},
 		{"in_node_combine", func(job *Job) {
-			job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
+			job.Combiner = SumInt32
+			job.Combine = &CombineConfig{Nodes: 2}
 		}},
 		{"net_shuffle", func(job *Job) {
 			job.Shuffle = &ShuffleConfig{Mode: ShuffleNet, Nodes: 3}

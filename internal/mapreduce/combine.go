@@ -1,14 +1,13 @@
 package mapreduce
 
-// In-node combining ("In-node Combiners", arXiv:1511.04861): instead of
-// combining only inside each map task, committed map outputs are pooled per
-// node group and merged once more — with the value monoid — before anything
-// crosses the shuffle. The algebraic contract making that safe is the
-// monoid ("Monoidify!", arXiv:1304.7544): an associative merge with an
-// identity can be applied per task, per node, or not at all, and the reduce
-// output is the same bytes either way. DESIGN.md "Combiner algebra" is the
-// authoritative spec for the laws, the MergeCut/cluster-boundary
-// interaction, and the byte-identity argument.
+// Combining with one monoid ("Monoidify!", arXiv:1304.7544): the job's
+// Combiner folds runs of equal keys in every spill, and with in-node
+// combining ("In-node Combiners", arXiv:1511.04861) committed map outputs
+// are pooled per node group and folded once more before anything crosses
+// the shuffle. An associative merge with an identity can be applied per
+// spill, per node, or not at all, and the reduce output is the same bytes
+// either way. DESIGN.md "Combiner algebra" is the authoritative spec for
+// the laws, the non-empty-key argument, and byte identity.
 
 import (
 	"encoding/binary"
@@ -145,21 +144,15 @@ func BuiltinCombiners() []Combiner {
 // CombineConfig enables in-node combining on a Job: after the map phase
 // commits, the engine groups map tasks into node groups (task t joins group
 // t % groups), k-way merges each group's committed segments per partition,
-// folds runs of equal keys with the Combiner, and publishes the combined
-// segment in place of the members' raw ones. Combining never crosses a
-// MergeCut window boundary: the job's cut predicate runs over each combined
-// stream, so keys in independent windows stay separate and the reduce-side
-// windowed transform sees the same window structure it would uncombined —
-// the byte-identity argument in DESIGN.md "Combiner algebra".
+// folds runs of equal keys with the job's Combiner, and publishes the
+// combined segment in place of the members' raw ones.
 //
-// Jobs with a MergeTransform must use a Combiner whose merge commutes with
-// the transform (lane-wise folds commute with the key-splitting rewrites,
-// since slicing a folded value equals folding the slices); jobs without a
-// monoid for their reduce operator (holistic operators like median) must
-// not set Combine at all.
+// Jobs with a Splitter must use a Combiner whose merge commutes with the
+// split (lane-wise folds commute with the key-splitting rewrites, since
+// slicing a folded value equals folding the slices). Folding only ever
+// merges byte-equal keys, and a splitter never separates two equal keys
+// (DESIGN.md "Combiner algebra").
 type CombineConfig struct {
-	// Combiner is the value monoid. Required.
-	Combiner Combiner
 	// Nodes is the node-group count: how many per-node combine buffers the
 	// run simulates. 0 means one group per shuffle node for networked
 	// shuffles (mirroring shufflenet's placement), otherwise a single
@@ -292,8 +285,8 @@ func (b *NodeBuffer) row(task int) ([]segment, int) {
 }
 
 // combine merges group g's committed member segments per partition —
-// folding runs of equal keys with the job's Combiner inside MergeCut
-// windows — and installs the combined rows. A clean group is a no-op.
+// folding runs of equal keys with the job's Combiner — and installs the
+// combined rows. A clean group is a no-op.
 // Errors from a member segment that fails to decode surface as
 // *ErrCorruptSegment naming the producing map attempt; the engine re-runs
 // it, feeds the fresh output, and calls combine again.
@@ -343,11 +336,7 @@ func (b *NodeBuffer) combine(g int) error {
 		if err != nil {
 			return err
 		}
-		var cut func(key []byte) bool
-		if b.job.MergeCut != nil {
-			cut = b.job.MergeCut()
-		}
-		cs := &combineStream{src: ms, cmp: b.job.Compare, m: b.job.Combine.Combiner, cut: cut}
+		cs := &combineStream{src: ms, cmp: b.job.Compare, m: b.job.Combiner}
 		seg, err := writeSegmentStream(cs, b.job.codec(), int(rawBytes))
 		cs.close()
 		if err != nil {
@@ -392,19 +381,16 @@ func (b *NodeBuffer) fold(jc *Counters) {
 	jc.CombineSavedBytes.Add(st.rawBytes - st.outBytes)
 }
 
-// combineStream folds runs of equal keys in a sorted stream with a monoid,
-// never across a cut-window boundary: the cut predicate (the job's MergeCut,
-// fed every incoming key once, in stream order) marks keys that start an
-// independent window, and a pending aggregate is flushed — not merged —
-// when one arrives. Input records may be borrow-mode (valid only until the
-// next pull); the stream owns its pending and emitted copies, and each
+// combineStream folds runs of equal keys in a sorted stream with a monoid —
+// a sorted spill buffer at spill time, a node group's k-way merge at
+// in-node combine time. Input records may be borrow-mode (valid only until
+// the next pull); the stream owns its pending and emitted copies, and each
 // emitted record stays valid until the next call, which is all
 // writeSegmentStream needs.
 type combineStream struct {
 	src kvStream
 	cmp func(a, b []byte) int
 	m   Monoid
-	cut func(key []byte) bool
 
 	pendKey, pendVal []byte // accumulating run (owned)
 	emitKey, emitVal []byte // last emitted record's backing (owned, reused)
@@ -434,8 +420,7 @@ func (s *combineStream) next() (KV, bool, error) {
 			continue
 		}
 		s.inRecords++
-		startsWindow := s.cut != nil && s.cut(kv.Key)
-		if s.have && !startsWindow && s.cmp(s.pendKey, kv.Key) == 0 {
+		if s.have && s.cmp(s.pendKey, kv.Key) == 0 {
 			merged, err := s.m.Merge(s.pendVal, kv.Value)
 			if err != nil {
 				return KV{}, false, err

@@ -129,8 +129,8 @@ func TestCombinerByName(t *testing.T) {
 }
 
 // combineJob is a minimal job carrying just what NodeBuffer and
-// combineStream consult: splits, partitions, compare, codec, combine config.
-func combineJob(splits, reducers, nodes int, cut func() func([]byte) bool) *Job {
+// combineStream consult: splits, partitions, compare, codec, combiner.
+func combineJob(splits, reducers, nodes int) *Job {
 	sp := make([]Split, splits)
 	for i := range sp {
 		sp[i] = Split{ID: i}
@@ -139,8 +139,8 @@ func combineJob(splits, reducers, nodes int, cut func() func([]byte) bool) *Job 
 		Splits:      sp,
 		NumReducers: reducers,
 		Compare:     bytes.Compare,
-		MergeCut:    cut,
-		Combine:     &CombineConfig{Combiner: SumInt32, Nodes: nodes},
+		Combiner:    SumInt32,
+		Combine:     &CombineConfig{Nodes: nodes},
 	}
 }
 
@@ -210,47 +210,11 @@ func TestCombineStreamFoldsRuns(t *testing.T) {
 	}
 }
 
-// TestCombineStreamRespectsCuts: a key starting a new MergeCut window is
-// never folded into the pending run, even when it equals the pending key —
-// the invariant keeping windowed merge transforms byte-identical.
-func TestCombineStreamRespectsCuts(t *testing.T) {
-	segA := mustWriteSegment(t, []KV{
-		{Key: []byte("a"), Value: laneValue(1)},
-		{Key: []byte("a"), Value: laneValue(2)},
-	}, 0, 0)
-	segB := mustWriteSegment(t, []KV{
-		{Key: []byte("a"), Value: laneValue(4)},
-	}, 1, 0)
-	ms, err := newMergeStream([]segment{segA, segB}, readEnv{codec: codec.None, borrow: true}, bytes.Compare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut before the third key: two equal keys share the first window, the
-	// third starts its own and must stay a separate record.
-	seen := 0
-	cut := func(key []byte) bool {
-		seen++
-		return seen == 3
-	}
-	cs := &combineStream{src: ms, cmp: bytes.Compare, m: SumInt32, cut: cut}
-	defer cs.close()
-	got := drainStream(t, cs)
-	if len(got) != 2 {
-		t.Fatalf("cut window ignored: got %d records %v, want 2", len(got), got)
-	}
-	if !bytes.Equal(got[0].Value, laneValue(3)) || !bytes.Equal(got[1].Value, laneValue(4)) {
-		t.Errorf("window fold wrong: values %x / %x, want lanes 3 / 4", got[0].Value, got[1].Value)
-	}
-	if seen != 3 {
-		t.Errorf("cut predicate saw %d keys, want every incoming key once (3)", seen)
-	}
-}
-
 // TestNodeBufferCombine drives the buffer directly: grouped feeds, the
 // representative/empty-row publication shape, duplicate folding across
 // members, and stats overwriting on recombine.
 func TestNodeBufferCombine(t *testing.T) {
-	job := combineJob(4, 2, 2, nil)
+	job := combineJob(4, 2, 2)
 	nb := newNodeBuffer(job)
 	if nb == nil {
 		t.Fatal("newNodeBuffer returned nil for a combining job")
@@ -328,7 +292,7 @@ func TestNodeBufferCombine(t *testing.T) {
 // networked defaults to the shuffle node count, and groups never exceed the
 // map task count.
 func TestCombineGroupCount(t *testing.T) {
-	j := combineJob(10, 1, 0, nil)
+	j := combineJob(10, 1, 0)
 	if got := j.combineGroupCount(); got != 1 {
 		t.Errorf("in-memory default groups = %d, want 1", got)
 	}
@@ -359,19 +323,20 @@ func TestCombineValidate(t *testing.T) {
 	if _, err := Run(job); err == nil {
 		t.Error("nil Combiner accepted")
 	}
-	job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: -1}
+	job.Combiner = SumInt32
+	job.Combine = &CombineConfig{Nodes: -1}
 	if _, err := Run(job); err == nil {
 		t.Error("negative Nodes accepted")
 	}
 }
 
-// runCombineWordCount runs the wordcount job with in-node combining
-// configured (nodes groups) and the given fault spec.
+// runCombineWordCount runs the wordcount job with its combiner and in-node
+// combining configured (nodes groups) under the given fault spec.
 func runCombineWordCount(t *testing.T, nodes int, spec string, policy RetryPolicy) (*Counters, []string) {
 	t.Helper()
 	fs := testFS()
-	job := wordCountJob(fs, faultDocs, 2, false)
-	job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: nodes}
+	job := wordCountJob(fs, faultDocs, 2, true)
+	job.Combine = &CombineConfig{Nodes: nodes}
 	job.Retry = policy
 	if spec != "" {
 		job.Faults = mustInjector(t, spec)
@@ -384,13 +349,14 @@ func runCombineWordCount(t *testing.T, nodes int, spec string, policy RetryPolic
 }
 
 // TestCombineDifferential is the engine-level byte-identity proof: the same
-// job with in-node combining off, on with one group, and on with several
-// groups produces byte-identical reducer output files, identical map-side
-// and reduce-output payload counters, and strictly fewer shuffle bytes and
-// reduce input records when duplicates fold.
+// job (folding at spill with the same Combiner) with in-node combining off,
+// on with one group, and on with several groups produces byte-identical
+// reducer output files, identical map-side and reduce-output payload
+// counters, and strictly fewer shuffle bytes and reduce input records when
+// duplicates fold.
 func TestCombineDifferential(t *testing.T) {
 	fs := testFS()
-	ref := wordCountJob(fs, faultDocs, 2, false)
+	ref := wordCountJob(fs, faultDocs, 2, true)
 	refRes, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -426,16 +392,23 @@ func TestCombineDifferential(t *testing.T) {
 					t.Errorf("%s = %d, uncombined run = %d", s.name, s.got, s.want)
 				}
 			}
-			// Combining must actually shrink the shuffle: the docs share
-			// words, so every group has cross-task duplicates to fold.
-			if got, want := c.ReduceShuffleBytes.Value(), rc.ReduceShuffleBytes.Value(); got >= want {
-				t.Errorf("ReduceShuffleBytes = %d, want < uncombined %d", got, want)
-			}
-			if got, want := c.ReduceInputRecords.Value(), rc.ReduceInputRecords.Value(); got >= want {
-				t.Errorf("ReduceInputRecords = %d, want < uncombined %d", got, want)
-			}
-			if c.CombineMergedRecords.Value() <= 0 {
-				t.Error("CombineMergedRecords = 0: the differential exercises nothing")
+			if nodes < len(faultDocs) {
+				// Combining must actually shrink the shuffle: the docs
+				// share words, so a group of several tasks has cross-task
+				// duplicates to fold.
+				if got, want := c.ReduceShuffleBytes.Value(), rc.ReduceShuffleBytes.Value(); got >= want {
+					t.Errorf("ReduceShuffleBytes = %d, want < uncombined %d", got, want)
+				}
+				if got, want := c.ReduceInputRecords.Value(), rc.ReduceInputRecords.Value(); got >= want {
+					t.Errorf("ReduceInputRecords = %d, want < uncombined %d", got, want)
+				}
+				if c.CombineMergedRecords.Value() <= 0 {
+					t.Error("CombineMergedRecords = 0: the differential exercises nothing")
+				}
+			} else if got := c.CombineMergedRecords.Value(); got != 0 {
+				// One task per group, each written in one spill: the spill
+				// combiner already folded every duplicate.
+				t.Errorf("CombineMergedRecords = %d with one-task groups, want 0", got)
 			}
 			if got := c.CombineEmittedRecords.Value(); got != c.ReduceInputRecords.Value() {
 				t.Errorf("CombineEmittedRecords = %d, want = ReduceInputRecords %d", got, c.ReduceInputRecords.Value())
@@ -490,7 +463,7 @@ func TestRemoteCombineByteIdentical(t *testing.T) {
 	job := wordCountJob(fs, remoteDocs, 3, true)
 	job.Parallelism = 2
 	job.Retry = RetryPolicy{MaxAttempts: 3}
-	job.Combine = &CombineConfig{Combiner: SumInt32, Nodes: 2}
+	job.Combine = &CombineConfig{Nodes: 2}
 	remote := newLoopbackRemote(func() *Job {
 		return wordCountJob(testFS(), remoteDocs, 3, true)
 	})

@@ -59,7 +59,9 @@ func wordCountJob(fs *hdfs.FileSystem, docs []string, numReducers int, comb bool
 		},
 	}
 	if comb {
-		job.NewCombiner = job.NewReducer
+		// A wrap-around int32 sum writes the same bytes as the reducer's
+		// uint32 sum.
+		job.Combiner = SumInt32
 	}
 	return job
 }
@@ -237,21 +239,33 @@ func TestReduceSideOrdering(t *testing.T) {
 	}
 }
 
+// firstDupSplitter duplicates the first record of the stream, simulating
+// one split, and counts the records it was pushed.
+type firstDupSplitter struct{ pushed int }
+
+func (s *firstDupSplitter) Push(kv KV) ([]KV, error) {
+	s.pushed++
+	if s.pushed == 1 {
+		return []KV{kv, kv}, nil
+	}
+	return []KV{kv}, nil
+}
+
+func (s *firstDupSplitter) Flush() ([]KV, error) { return nil, nil }
+
+// TestMergeTransformRuns: the job's Splitter rewrites the reducer's merged
+// stream before grouping, and its surplus lands in OverlapKeySplits.
 func TestMergeTransformRuns(t *testing.T) {
 	fs := testFS()
 	job := wordCountJob(fs, []string{"a b a"}, 1, false)
-	var sawPairs int
-	job.MergeTransform = func(pairs []KV) []KV {
-		sawPairs = len(pairs)
-		// Duplicate the first pair to simulate a split.
-		return append([]KV{pairs[0]}, pairs...)
-	}
+	sp := &firstDupSplitter{}
+	job.NewSplitter = func() Splitter { return sp }
 	res, err := Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sawPairs != 3 {
-		t.Errorf("merge transform saw %d pairs, want 3", sawPairs)
+	if sp.pushed != 3 {
+		t.Errorf("splitter saw %d records, want 3", sp.pushed)
 	}
 	if res.Counters.OverlapKeySplits.Value() != 1 {
 		t.Errorf("overlap splits = %d, want 1", res.Counters.OverlapKeySplits.Value())

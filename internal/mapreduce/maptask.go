@@ -9,6 +9,7 @@ import (
 
 	"scikey/internal/cluster"
 	"scikey/internal/faults"
+	"scikey/internal/ifile"
 	"scikey/internal/obs"
 )
 
@@ -57,11 +58,35 @@ type mapTask struct {
 
 // partBuffer collects one partition's records. Key/value copies
 // bump-allocate into the arena, so steady-state collection costs no
-// per-record heap allocations.
+// per-record heap allocations. Once sorted, the buffer is the kvStream its
+// spill segment is written from (and tests stream any sorted run through
+// one).
 type partBuffer struct {
 	pairs []KV
 	arena kvArena
 	bytes int
+	read  int // next record the spill writer pulls
+}
+
+func (pb *partBuffer) next() (KV, bool, error) {
+	if pb.read == len(pb.pairs) {
+		return KV{}, false, nil
+	}
+	pb.read++
+	return pb.pairs[pb.read-1], true, nil
+}
+
+func (pb *partBuffer) close() {}
+
+// segmentBound is an upper bound on the buffer's IFile-encoded size (exact
+// framing plus trailer), so the pooled output buffer never regrows for an
+// uncompressed codec.
+func (pb *partBuffer) segmentBound() int {
+	n := ifile.TrailerLen + pb.bytes
+	for _, p := range pb.pairs {
+		n += ifile.RecordOverhead(len(p.Key), len(p.Value))
+	}
+	return n
 }
 
 // partBufferPool recycles whole partition-buffer sets (including each
@@ -84,6 +109,7 @@ func putPartBuffers(parts []partBuffer) {
 		pb.pairs = pb.pairs[:0]
 		pb.arena.reset()
 		pb.bytes = 0
+		pb.read = 0
 	}
 	v := new([]partBuffer)
 	*v = parts
@@ -233,7 +259,8 @@ func (t *mapTask) drainSpills() error {
 	return t.spillErr
 }
 
-// spillParts sorts, combines and writes each partition buffer as a segment
+// spillParts sorts each partition buffer, folds its runs of equal keys
+// through the job's Combiner when it has one, and writes it as a segment
 // (steps 2-3 of Fig. 1). It runs on the spill worker goroutine; everything
 // it touches is either worker-owned until drainSpills (spills, spillBytes)
 // or concurrency-safe (counters, the buffer pools).
@@ -249,44 +276,27 @@ func (t *mapTask) spillParts(parts []partBuffer) error {
 		sort.SliceStable(pb.pairs, func(i, j int) bool {
 			return t.job.Compare(pb.pairs[i].Key, pb.pairs[j].Key) < 0
 		})
-		pairs := pb.pairs
-		if t.job.NewCombiner != nil {
-			combined, err := t.combine(pairs)
-			if err != nil {
-				return err
-			}
-			pairs = combined
+		var src kvStream = pb
+		var comb *combineStream
+		if t.job.Combiner != nil {
+			comb = &combineStream{src: pb, cmp: t.job.Compare, m: t.job.Combiner}
+			src = comb
 		}
 		cs := t.tracer.Start(obs.CatPhase, "codec", sp.ID(), t.id, t.attempt)
-		seg, err := writeSegment(pairs, t.job.codec())
+		seg, err := writeSegmentStream(src, t.job.codec(), pb.segmentBound())
 		cs.End()
 		if err != nil {
 			return err
 		}
-		c.SpilledRecords.Add(int64(len(pairs)))
+		if comb != nil {
+			c.CombineInputRecords.Add(comb.inRecords)
+			c.CombineOutputRecords.Add(comb.outRecords)
+		}
+		c.SpilledRecords.Add(seg.records)
 		t.spillBytes += int64(len(seg.data))
 		t.spills[p] = append(t.spills[p], seg)
 	}
 	return nil
-}
-
-func (t *mapTask) combine(pairs []KV) ([]KV, error) {
-	c := t.ctx.counters
-	c.CombineInputRecords.Add(int64(len(pairs)))
-	out := make([]KV, 0, len(pairs))
-	emit := func(k, v []byte) {
-		out = append(out, KV{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-	}
-	comb := t.job.NewCombiner()
-	if err := groupReduce(t.ctx, &sliceStream{pairs: pairs}, t.job.Compare, comb, emit, c, true, nil, false); err != nil {
-		return nil, err
-	}
-	c.CombineOutputRecords.Add(int64(len(out)))
-	// The combiner must preserve key order for the segment to stay sorted.
-	sort.SliceStable(out, func(i, j int) bool {
-		return t.job.Compare(out[i].Key, out[j].Key) < 0
-	})
-	return out, nil
 }
 
 // finalize flushes the last buffer, drains the spill pipeline, and merges

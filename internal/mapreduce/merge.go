@@ -117,50 +117,13 @@ type segWriterState struct {
 
 var segWriterStatePool = sync.Pool{New: func() any { return new(segWriterState) }}
 
-// writeSegment encodes sorted pairs through the codec into IFile form. The
-// returned segment's storage comes from the buffer pool; hand it to
-// recycleSegment once it is merged away.
-func writeSegment(pairs []KV, c codec.Codec) (segment, error) {
-	// Upper-bound the encoded size (payload + max framing + trailer) so the
-	// pooled output buffer never regrows through unpooled reallocations.
-	est := ifile.TrailerLen
-	for _, p := range pairs {
-		est += len(p.Key) + len(p.Value) + ifile.RecordOverhead(len(p.Key), len(p.Value))
-	}
-	sw := segWriterStatePool.Get().(*segWriterState)
-	sw.aw.buf = bufpool.Get(est)
-	cw := writerPoolFor(c).Get(&sw.aw)
-	sw.iw.Reset(cw)
-	fail := func(err error) (segment, error) {
-		// Mid-stream writers carry unknown state; drop rather than pool.
-		bufpool.Put(sw.aw.buf)
-		sw.aw.buf = nil
-		segWriterStatePool.Put(sw)
-		return segment{}, err
-	}
-	for _, p := range pairs {
-		if err := sw.iw.Append(p.Key, p.Value); err != nil {
-			return fail(err)
-		}
-	}
-	if err := sw.iw.Close(); err != nil {
-		return fail(err)
-	}
-	if err := cw.Close(); err != nil {
-		return fail(err)
-	}
-	writerPoolFor(c).Put(cw)
-	data := sw.aw.buf
-	sw.aw.buf = nil
-	segWriterStatePool.Put(sw)
-	return segment{data: data, records: int64(len(pairs)), src: -1}, nil
-}
-
 // writeSegmentStream encodes a sorted record stream through the codec into
-// IFile form — writeSegment's streaming twin, used by merge passes so a
-// rewritten segment never exists as a pair slice. sizeHint seeds the pooled
-// output buffer (the merge pass passes its input bytes, an upper bound for
-// the uncompressed codec); the buffer still grows if the hint is short.
+// IFile form: spills (from a sorted partition buffer) and merge passes (from
+// a k-way merge) alike, so a rewritten segment never exists as a pair
+// slice. sizeHint seeds the pooled output buffer (an upper bound for the
+// uncompressed codec avoids regrowth); the buffer still grows if the hint is
+// short. The returned segment's storage comes from the buffer pool; hand it
+// to recycleSegment once it is merged away.
 func writeSegmentStream(src kvStream, c codec.Codec, sizeHint int) (segment, error) {
 	sw := segWriterStatePool.Get().(*segWriterState)
 	sw.aw.buf = bufpool.Get(sizeHint)
@@ -312,8 +275,8 @@ func (h *mergeHeap) Pop() any {
 }
 
 // kvStream is a pull iterator over a sorted record run — the shape the
-// whole reduce path now consumes, so one partition is never materialized as
-// a slice. next returns the next record until (KV{}, false, nil) at end of
+// whole reduce path consumes, so one partition is never materialized as a
+// slice. next returns the next record until (KV{}, false, nil) at end of
 // stream; after an error or end of stream the stream must not be advanced
 // again. close releases pooled resources and is idempotent; it must be
 // called exactly when no previously returned record is still referenced
@@ -322,25 +285,6 @@ type kvStream interface {
 	next() (KV, bool, error)
 	close()
 }
-
-// sliceStream adapts an in-memory sorted run to kvStream — the compat shim
-// for callers that still materialize (the combiner's sorted buffer, the
-// reference reduce path).
-type sliceStream struct {
-	pairs []KV
-	pos   int
-}
-
-func (s *sliceStream) next() (KV, bool, error) {
-	if s.pos >= len(s.pairs) {
-		return KV{}, false, nil
-	}
-	kv := s.pairs[s.pos]
-	s.pos++
-	return kv, true, nil
-}
-
-func (s *sliceStream) close() {}
 
 // mergeStream is the pull-based k-way merge over sorted segments — the
 // reducer-side "merge sort" of Fig. 1 step 5 as a stream, so a reduce
@@ -357,14 +301,10 @@ type mergeStream struct {
 	closed  bool
 }
 
-// newMergeStream opens every segment and primes the heap. On error all
-// already-opened iterators are released back to their pools.
 // validateSegments scans each provenance-tagged segment (src >= 0) to its
 // end in borrow mode — no record copies — forcing the codec and IFile CRC
 // checks before any record is handed to user code. The streaming reduce
-// path runs this over its final merge level: the materialized reference
-// path validated implicitly by reading every segment up front, and
-// reducers are entitled to that ordering — a corrupted map output must
+// path runs this over its final merge level: a corrupted map output must
 // surface as an ErrCorruptSegment naming the producing attempt, never as
 // whatever user code does with garbage bytes mid-stream. Engine-internal
 // segments (src < 0) were produced by this attempt from already-validated
@@ -397,6 +337,8 @@ func validateSegments(segs []segment, env readEnv) (int64, error) {
 	return read, nil
 }
 
+// newMergeStream opens every segment and primes the heap. On error all
+// already-opened iterators are released back to their pools.
 func newMergeStream(segs []segment, env readEnv, cmp func(a, b []byte) int) (*mergeStream, error) {
 	m := &mergeStream{h: mergeHeap{cmp: cmp}}
 	for _, s := range segs {
@@ -460,33 +402,6 @@ func (m *mergeStream) close() {
 	m.pending = false
 }
 
-// mergeSegments k-way merges sorted segments into one sorted in-memory run.
-// It is the materializing reference form of mergeStream: the streaming
-// reduce path replaced it in production, but the differential suite and the
-// ReferenceReduce job mode keep running it to prove the streams byte-equal.
-func mergeSegments(segs []segment, env readEnv, cmp func(a, b []byte) int) ([]KV, error) {
-	var total int64
-	for _, s := range segs {
-		total += s.records
-	}
-	m, err := newMergeStream(segs, env, cmp)
-	if err != nil {
-		return nil, err
-	}
-	defer m.close()
-	out := make([]KV, 0, total)
-	for {
-		kv, ok, err := m.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, kv)
-	}
-}
-
 // mergeDown repeatedly merges batches of up to factor segments into single
 // segments until at most target remain — Hadoop's multi-pass on-disk merge
 // (io.sort.factor), the "multiple on-disk sort phases" of Fig. 1 step 5.
@@ -545,8 +460,9 @@ func sortSegmentsBySize(segs []segment) {
 }
 
 // groupReduce walks a sorted record stream, invoking red once per group of
-// equal keys (per cmp), as Hadoop's reduce-phase grouping iterator does.
-// Only the current group is held in memory. It aborts between groups when
+// equal keys (per cmp), as Hadoop's reduce-phase grouping iterator does,
+// and counts each group in the attempt's ReduceInputGroups. Only the
+// current group is held in memory. It aborts between groups when
 // the attempt is canceled, and — when bail is non-nil — when bail reports a
 // downstream error, so a failed reduce-output write stops the attempt
 // promptly instead of reducing on into a dead writer.
@@ -560,7 +476,7 @@ func sortSegmentsBySize(segs []segment) {
 // per-record heap copies the non-borrowed path pays disappear. Arguments
 // passed to Reduce are only valid during the call in either mode (Hadoop's
 // iterator-reuse contract).
-func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, counters *Counters, isCombine bool, bail func() error, borrowed bool) error {
+func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red Reducer, emit Emit, bail func() error, borrowed bool) error {
 	var ga, gb *kvArena // current group arena, boundary arena
 	if borrowed {
 		ga, gb = &kvArena{}, &kvArena{}
@@ -605,9 +521,7 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 			}
 			values = append(values, nxt.Value)
 		}
-		if counters != nil && !isCombine {
-			counters.ReduceInputGroups.Add(1)
-		}
+		ctx.counters.ReduceInputGroups.Add(1)
 		if err := red.Reduce(ctx, key, values, emit); err != nil {
 			return err
 		}
@@ -620,9 +534,9 @@ func groupReduce(ctx *TaskContext, src kvStream, cmp func(a, b []byte) int, red 
 	return nil
 }
 
-// countStream counts records as they drain — ReduceInputRecords advances
-// with the stream now, not after a full materialization, but a fully
-// drained attempt lands on exactly the reference path's total.
+// countStream counts records as they drain: ReduceInputRecords advances
+// with the stream, and a fully drained attempt lands on exactly the
+// partition's record total.
 type countStream struct {
 	src kvStream
 	n   *Counter
@@ -638,93 +552,47 @@ func (s *countStream) next() (KV, bool, error) {
 
 func (s *countStream) close() { s.src.close() }
 
-// transformStream adapts the whole-slice MergeTransform hook to the
-// streaming reduce: it buffers a bounded lookahead window of records,
-// closes the window where the job's cut predicate says later keys cannot
-// interact with it, runs the transform over that window, and streams the
-// rewritten records out. With a nil cut the whole stream is one window —
-// the exact legacy behavior for transforms with unknown locality. The
-// transform keeps its func([]KV) []KV signature either way; windows are
-// never reused as backing storage since the transform may retain its
-// argument (an identity transform returns it unchanged).
-//
-// The split counter is settled once at end of stream: windows partition
-// the input, so the summed output-minus-input surplus equals the surplus
-// the reference path measures over the whole partition.
-type transformStream struct {
-	src       kvStream
-	transform func([]KV) []KV
-	cut       func(key []byte) bool
-	splits    *Counter
+// splitStream passes a reduce attempt's merged stream through the job's
+// Splitter. The split counter is settled once, after Flush: the splitter's
+// output records minus its input records, so only a fully drained attempt
+// counts.
+type splitStream struct {
+	src    kvStream
+	sp     Splitter
+	splits *Counter
 
 	out     []KV
-	pos     int
-	pending KV
-	have    bool
 	eof     bool
-	counted bool
-
-	totalIn  int64
-	totalOut int64
+	in, got int64
 }
 
-func (t *transformStream) next() (KV, bool, error) {
-	for {
-		if t.pos < len(t.out) {
-			kv := t.out[t.pos]
-			t.pos++
-			return kv, true, nil
-		}
-		if t.eof && !t.have {
-			if !t.counted {
-				t.counted = true
-				if t.splits != nil {
-					if d := t.totalOut - t.totalIn; d > 0 {
-						t.splits.Add(d)
-					}
-				}
-			}
+func (s *splitStream) next() (KV, bool, error) {
+	for len(s.out) == 0 {
+		if s.eof {
 			return KV{}, false, nil
 		}
-		if err := t.fill(); err != nil {
+		kv, ok, err := s.src.next()
+		if err != nil {
 			return KV{}, false, err
 		}
-	}
-}
-
-// fill gathers the next window and runs the transform over it. The cut
-// predicate sees every key exactly once, in stream order; returning true
-// seals the window before that key, which becomes the next window's first
-// record.
-func (t *transformStream) fill() error {
-	var window []KV
-	if t.have {
-		window = append(window, t.pending)
-		t.pending, t.have = KV{}, false
-	}
-	for !t.eof {
-		kv, ok, err := t.src.next()
+		if ok {
+			s.in++
+			s.out, err = s.sp.Push(kv)
+		} else {
+			s.eof = true
+			s.out, err = s.sp.Flush()
+		}
 		if err != nil {
-			return err
+			return KV{}, false, err
 		}
-		if !ok {
-			t.eof = true
-			break
+		s.got += int64(len(s.out))
+		if s.eof && s.got > s.in {
+			s.splits.Add(s.got - s.in)
 		}
-		if t.cut != nil && t.cut(kv.Key) && len(window) > 0 {
-			t.pending, t.have = kv, true
-			break
-		}
-		window = append(window, kv)
 	}
-	if len(window) == 0 {
-		t.out, t.pos = nil, 0
-		return nil
-	}
-	t.out, t.pos = t.transform(window), 0
-	t.totalIn += int64(len(window))
-	t.totalOut += int64(len(t.out))
-	return nil
+	kv := s.out[0]
+	s.out = s.out[1:]
+	return kv, true, nil
 }
 
-func (t *transformStream) close() { t.src.close() }
+func (s *splitStream) close() { s.src.close() }

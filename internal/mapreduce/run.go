@@ -368,7 +368,7 @@ func Run(job *Job) (*Result, error) {
 
 	// The combine phase: with in-node combining on, every node group's
 	// committed segments merge — equal-key runs folded with the job's
-	// Combiner inside MergeCut windows — and only the combined view is
+	// Combiner — and only the combined view is
 	// published. Runs strictly between the map barrier and the reduce
 	// phase, so reducers never see raw member segments.
 	if nb != nil {

@@ -30,22 +30,22 @@ func benchPairs(n int) []KV {
 // the segment's backing storage recycled the way the map-side spill/merge
 // loop does. allocs/op is the headline metric.
 func BenchmarkWriteSegmentPooled(b *testing.B) {
-	pairs := benchPairs(4096)
+	pb := &partBuffer{pairs: benchPairs(4096)}
+	for _, p := range pb.pairs {
+		pb.bytes += len(p.Key) + len(p.Value)
+	}
 	for _, name := range []string{"none", "gzip", "transform+gzip"} {
 		b.Run(name, func(b *testing.B) {
 			c, err := codec.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var bytes int64
-			for _, p := range pairs {
-				bytes += int64(len(p.Key) + len(p.Value))
-			}
-			b.SetBytes(bytes)
+			b.SetBytes(int64(pb.bytes))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				seg, err := writeSegment(pairs, c)
+				pb.read = 0
+				seg, err := writeSegmentStream(pb, c, pb.segmentBound())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,14 +3,14 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"scikey/internal/codec"
 )
 
-// dupTransform duplicates every pair — a merge transform whose output is
-// decomposable under any stream windowing, so the differential suite can
-// compare whole-stream and windowed execution on the same job.
+// dupTransform duplicates every pair: the whole-slice transform the oracle
+// applies for a job running dupSplitter.
 func dupTransform(pairs []KV) []KV {
 	out := make([]KV, 0, 2*len(pairs))
 	for _, p := range pairs {
@@ -19,27 +19,40 @@ func dupTransform(pairs []KV) []KV {
 	return out
 }
 
-// keyChangeCut cuts the merged stream at every key change: valid for any
-// per-record transform, and the tightest possible window, so it exercises
-// the transform adapter's pending-record handoff hard.
-func keyChangeCut() func(key []byte) bool {
-	var last []byte
-	started := false
-	return func(k []byte) bool {
-		cut := started && !bytes.Equal(last, k)
-		last = append(last[:0], k...)
-		started = true
-		return cut
-	}
+// dupSplitter duplicates every record, so its output equals dupTransform
+// over the whole stream however it buffers. With perKey set it releases
+// each run of equal keys when the key changes — the tightest clusters,
+// exercising the Push hand-off hard; otherwise it holds the whole stream
+// until Flush.
+type dupSplitter struct {
+	perKey  bool
+	pending []KV
 }
 
-// diffCase is one streaming-vs-reference configuration.
+func (s *dupSplitter) Push(kv KV) ([]KV, error) {
+	var out []KV
+	if s.perKey && len(s.pending) > 0 && !bytes.Equal(s.pending[0].Key, kv.Key) {
+		out = s.release()
+	}
+	s.pending = append(s.pending, kv)
+	return out, nil
+}
+
+func (s *dupSplitter) Flush() ([]KV, error) { return s.release(), nil }
+
+func (s *dupSplitter) release() []KV {
+	out := dupTransform(s.pending)
+	s.pending = nil
+	return out
+}
+
+// diffCase is one streaming-vs-oracle configuration.
 type diffCase struct {
 	name      string
 	codec     codec.Codec
 	comb      bool
-	transform bool // install dupTransform
-	cut       bool // ... with the per-key window cut
+	transform bool // install dupSplitter
+	perKey    bool // ... releasing per key instead of at Flush
 	spec      string
 	policy    RetryPolicy
 	shuffle   *ShuffleConfig
@@ -51,7 +64,7 @@ type diffCase struct {
 	parallel  int
 }
 
-func (dc diffCase) build(t *testing.T, reference bool) *Job {
+func (dc diffCase) build(t *testing.T) *Job {
 	t.Helper()
 	fs := testFS()
 	docs := dc.docs
@@ -64,7 +77,6 @@ func (dc diffCase) build(t *testing.T, reference bool) *Job {
 	}
 	job := wordCountJob(fs, docs, reducers, dc.comb)
 	job.MapOutputCodec = dc.codec
-	job.ReferenceReduce = reference
 	job.Retry = dc.policy
 	job.Shuffle = dc.shuffle
 	job.Faults = mustInjector(t, dc.spec)
@@ -72,10 +84,7 @@ func (dc diffCase) build(t *testing.T, reference bool) *Job {
 		job.Parallelism = dc.parallel
 	}
 	if dc.transform {
-		job.MergeTransform = dupTransform
-		if dc.cut {
-			job.MergeCut = keyChangeCut
-		}
+		job.NewSplitter = func() Splitter { return &dupSplitter{perKey: dc.perKey} }
 	}
 	if dc.routeAll0 {
 		job.Partition = func([]byte, int) int { return 0 }
@@ -83,33 +92,65 @@ func (dc diffCase) build(t *testing.T, reference bool) *Job {
 	return job
 }
 
-// runDiff executes the case and returns the raw per-partition output bytes
-// plus the counters the two paths must agree on.
-func runDiff(t *testing.T, dc diffCase, reference bool) ([]string, map[string]int64) {
+// runDiff executes the case and returns its output files and counters,
+// plus the expectation: the oracle over the case's published map output and
+// the publishing run's map-side counters. A fault schedule rules out the map
+// output cache the capture rides on, so a faulty case captures a fault-free
+// twin instead: recovery must reproduce the twin's map output, map-side
+// counters and outputs exactly.
+func runDiff(t *testing.T, dc diffCase) (outs []string, c *Counters, want expected) {
 	t.Helper()
-	job := dc.build(t, reference)
+	capture := &captureCache{}
+	var published *Counters
+	if dc.spec != "" {
+		twin := dc
+		twin.spec = ""
+		job := twin.build(t)
+		job.MapCache, job.CacheKey = capture, dc.name
+		res, err := Run(job)
+		if err != nil {
+			t.Fatalf("%s fault-free twin: %v", dc.name, err)
+		}
+		published = res.Counters
+	}
+	job := dc.build(t)
+	if published == nil {
+		job.MapCache, job.CacheKey = capture, dc.name
+	}
 	res, err := Run(job)
 	if err != nil {
-		t.Fatalf("%s (reference=%v): %v", dc.name, reference, err)
+		t.Fatalf("%s: %v", dc.name, err)
 	}
-	outs := readRawOutputs(t, job.FS, res.OutputPaths)
-	c := res.Counters
-	counters := map[string]int64{
-		"ReduceInputRecords":  c.ReduceInputRecords.Value(),
-		"ReduceInputGroups":   c.ReduceInputGroups.Value(),
-		"ReduceOutputRecords": c.ReduceOutputRecords.Value(),
-		"ReduceOutputBytes":   c.ReduceOutputBytes.Value(),
-		"OverlapKeySplits":    c.OverlapKeySplits.Value(),
-		"SpilledRecords":      c.SpilledRecords.Value(),
-		"MapOutputRecords":    c.MapOutputRecords.Value(),
+	if published == nil {
+		published = res.Counters
 	}
-	return outs, counters
+	var transform func([]KV) []KV
+	if dc.transform {
+		transform = dupTransform
+	}
+	refOuts, oc := referenceReduce(t, job, capture.snap, transform)
+	oc.SpilledRecords.Add(published.SpilledRecords.Value())
+	oc.MapOutputRecords.Add(published.MapOutputRecords.Value())
+	return readRawOutputs(t, job.FS, res.OutputPaths), res.Counters,
+		expected{outs: refOuts, counters: payloadCounters(oc)}
+}
+
+// runCase executes the case alone and returns its output files and counters.
+func runCase(t *testing.T, dc diffCase) ([]string, *Counters) {
+	t.Helper()
+	job := dc.build(t)
+	res, err := Run(job)
+	if err != nil {
+		t.Fatalf("%s: %v", dc.name, err)
+	}
+	return readRawOutputs(t, job.FS, res.OutputPaths), res.Counters
 }
 
 // TestStreamingReduceDifferential proves the streaming reduce path emits
-// byte-identical output files — and identical payload counters — to the
-// materialized reference path across codecs, combiner, merge transforms
-// (whole-stream and windowed), chaos schedules, and degenerate partitions.
+// output files — and reduce-side payload counters — byte-identical to the
+// materialize-then-group oracle across codecs, the spill combiner,
+// splitters (releasing per key and at Flush), chaos schedules, and
+// degenerate partitions.
 func TestStreamingReduceDifferential(t *testing.T) {
 	manyDocs := append(append([]string(nil), faultDocs...),
 		"sphinx of black quartz judge my vow",
@@ -122,13 +163,13 @@ func TestStreamingReduceDifferential(t *testing.T) {
 		{name: "codec-bzip2", codec: codec.Bzip2},
 		{name: "combiner", codec: codec.Gzip, comb: true},
 		{name: "transform-whole-stream", codec: codec.Gzip, transform: true},
-		{name: "transform-windowed", codec: nil, transform: true, cut: true},
-		{name: "transform-windowed-bzip2", codec: codec.Bzip2, transform: true, cut: true},
+		{name: "transform-windowed", codec: nil, transform: true, perKey: true},
+		{name: "transform-windowed-bzip2", codec: codec.Bzip2, transform: true, perKey: true},
 		{name: "multi-pass-merge", codec: nil, docs: manyDocs, reducers: 1},
 		{name: "single-segment", codec: nil, docs: faultDocs[:1], reducers: 1},
 		{name: "empty-partitions", codec: nil, reducers: 3, routeAll0: true},
 		{name: "empty-partitions-transform", codec: nil, reducers: 3, routeAll0: true,
-			transform: true, cut: true},
+			transform: true, perKey: true},
 		{name: "chaos-local", codec: codec.Gzip, transform: true,
 			spec:   "seed=9;map:1:error@0;segment:0.1:corrupt@0;codec:2:error@0",
 			policy: RetryPolicy{MaxAttempts: 3}},
@@ -139,68 +180,40 @@ func TestStreamingReduceDifferential(t *testing.T) {
 	}
 	for _, dc := range cases {
 		t.Run(dc.name, func(t *testing.T) {
-			refOuts, refCounters := runDiff(t, dc, true)
-			strOuts, strCounters := runDiff(t, dc, false)
-			if len(refOuts) != len(strOuts) {
-				t.Fatalf("partition counts differ: reference %d, streaming %d",
-					len(refOuts), len(strOuts))
-			}
-			for i := range refOuts {
-				if refOuts[i] != strOuts[i] {
-					t.Errorf("partition %d output bytes differ (reference %d B, streaming %d B)",
-						i, len(refOuts[i]), len(strOuts[i]))
-				}
-			}
-			for name, want := range refCounters {
-				if got := strCounters[name]; got != want {
-					t.Errorf("counter %s: streaming %d, reference %d", name, got, want)
-				}
-			}
+			outs, c, want := runDiff(t, dc)
+			assertMatchesOracle(t, outs, c, want)
 		})
 	}
 }
 
-// TestTransformStreamWindows checks the transform adapter
-// at the unit level: windows must partition the stream in order, every
-// record must pass through exactly once, and the split counter must settle
-// on the whole-stream surplus.
-func TestTransformStreamWindows(t *testing.T) {
+// TestSplitStreamClusters checks the splitter adapter at the unit level:
+// every record passes through the splitter exactly once and in order, the
+// released records stream out in order, and the split counter settles on
+// the output surplus only once the stream is drained.
+func TestSplitStreamClusters(t *testing.T) {
 	var pairs []KV
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%02d", i/2)) // two records per key
 		pairs = append(pairs, KV{Key: k, Value: []byte{byte(i)}})
 	}
 	var c Counter
-	var windows [][]KV
-	ts := &transformStream{
-		src: &sliceStream{pairs: pairs},
-		transform: func(w []KV) []KV {
-			cp := append([]KV(nil), w...)
-			windows = append(windows, cp)
-			return dupTransform(w)
-		},
-		cut:    keyChangeCut(),
-		splits: &c,
-	}
+	ss := &splitStream{src: &partBuffer{pairs: pairs}, sp: &dupSplitter{perKey: true}, splits: &c}
+	defer ss.close()
 	var got []KV
 	for {
-		kv, ok, err := ts.next()
+		kv, ok, err := ss.next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		got = append(got, kv)
-	}
-	ts.close()
-	if len(windows) != 5 {
-		t.Errorf("got %d windows, want 5 (one per distinct key)", len(windows))
-	}
-	for _, w := range windows {
-		if len(w) != 2 {
-			t.Errorf("window size %d, want 2", len(w))
+		// The last key's four records come out of Flush, which settles
+		// the counter; nothing before them may see it.
+		if len(got) < 16 && c.Value() != 0 {
+			t.Fatalf("split counter settled mid-stream at record %d", len(got))
 		}
+		got = append(got, kv)
 	}
 	if len(got) != 20 {
 		t.Fatalf("drained %d records, want 20", len(got))
@@ -213,5 +226,23 @@ func TestTransformStreamWindows(t *testing.T) {
 	}
 	if c.Value() != 10 {
 		t.Errorf("split surplus = %d, want 10", c.Value())
+	}
+}
+
+// failingSplitter rejects every record, the way an overlap splitter
+// rejects a key it cannot decode.
+type failingSplitter struct{}
+
+func (failingSplitter) Push(KV) ([]KV, error) { return nil, fmt.Errorf("undecodable key") }
+func (failingSplitter) Flush() ([]KV, error)  { return nil, nil }
+
+// TestSplitterErrorFailsAttempt: a splitter error fails the reduce attempt
+// with a typed job error instead of crashing the process.
+func TestSplitterErrorFailsAttempt(t *testing.T) {
+	job := wordCountJob(testFS(), faultDocs, 2, false)
+	job.NewSplitter = func() Splitter { return failingSplitter{} }
+	_, err := Run(job)
+	if err == nil || !strings.Contains(err.Error(), "undecodable key") {
+		t.Fatalf("Run error = %v, want the splitter's error", err)
 	}
 }

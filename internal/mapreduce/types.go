@@ -10,15 +10,17 @@
 //
 //   - Job.PartitionSplit lets an aggregate key that spans several reducers
 //     be split at routing time instead of being routed whole.
-//   - Job.MergeTransform runs over each reducer's merged, sorted stream
-//     before grouping — the hook where unequal overlapping aggregate keys
-//     are split along overlap boundaries (Fig. 7).
+//   - Job.NewSplitter builds a streaming Splitter that each reducer's
+//     merged, sorted stream passes through before grouping — the hook where
+//     unequal overlapping aggregate keys are split along overlap boundaries
+//     (Fig. 7).
 //
-// A third extension goes beyond the paper: Job.Combine enables in-node
-// combining — committed map outputs are pooled per node group and merged
-// with a value Monoid before the shuffle, cutting shuffle bytes while the
-// reduce output stays byte-identical (see Monoid, CombineConfig, and
-// NodeBuffer).
+// Job.Combiner is the job's one aggregation contract: a value Monoid that
+// folds runs of equal keys in every spill (Hadoop's map-side combiner). A
+// further extension goes beyond the paper: Job.Combine applies the same
+// monoid once more per node group, pooling committed map outputs before the
+// shuffle, cutting shuffle bytes while the reduce output stays
+// byte-identical (see Monoid, CombineConfig, and NodeBuffer).
 //
 // The engine measures, per task, the byte volumes and CPU seconds that the
 // cluster cost model turns into modeled runtimes, and maintains the Hadoop
@@ -65,8 +67,8 @@ type Mapper interface {
 	Map(ctx *TaskContext, split Split, emit Emit) error
 }
 
-// Reducer folds the values of one intermediate key. It is also the
-// interface for combiners.
+// Reducer folds the values of one intermediate key. Combining before the
+// reducer goes through a Combiner (a value Monoid), never a Reducer.
 //
 // key and values are framework-owned and valid only for the duration of the
 // Reduce call — Hadoop's iterator-reuse contract. The streaming reduce path
@@ -91,6 +93,23 @@ func (f MapperFunc) Map(ctx *TaskContext, split Split, emit Emit) error {
 // sketches) flush their state.
 type Finalizer interface {
 	Finish(ctx *TaskContext, emit Emit) error
+}
+
+// Splitter rewrites a reduce attempt's merged, sorted stream before
+// grouping — Section IV-B's second case, where unequal overlapping aggregate
+// keys are split along their overlap boundaries (Fig. 7). Records arrive in
+// Compare order; a splitter buffers only what later records could still
+// change (one cluster of overlapping keys) and must emit its output in
+// Compare order too.
+//
+// Push hands over the next record, which the splitter may keep, and
+// returns the records that are now final. Flush runs once after the last
+// record and returns the rest. A returned slice is valid until the next
+// call; the key and value bytes of returned records must not be modified
+// afterwards. An error fails the reduce attempt.
+type Splitter interface {
+	Push(kv KV) ([]KV, error)
+	Flush() ([]KV, error)
 }
 
 // ReducerFunc adapts a function to Reducer.
@@ -151,14 +170,16 @@ type Job struct {
 	NewMapper func() Mapper
 	// NewReducer builds a reducer per reduce task.
 	NewReducer func() Reducer
-	// NewCombiner, when non-nil, builds the map-side combiner (step 3 of
-	// Fig. 1).
-	NewCombiner func() Reducer
+	// Combiner, when non-nil, is the value monoid of the reduce operator:
+	// every spill folds runs of equal keys through it before the segment is
+	// written (the map-side combiner, step 3 of Fig. 1). Jobs whose reduce
+	// operator has no monoid (holistic operators like median) leave it nil.
+	Combiner Combiner
 	// Combine, when non-nil, additionally enables in-node combining: after
 	// the map phase, committed map outputs are pooled per node group and
-	// runs of equal keys are folded with the configured Monoid before
-	// anything is published to the shuffle. See CombineConfig for the
-	// grouping, windowing, and byte-identity contract.
+	// runs of equal keys are folded with Combiner once more before anything
+	// is published to the shuffle. Requires Combiner. See CombineConfig for
+	// the grouping and byte-identity contract.
 	Combine *CombineConfig
 	// NumReducers is the reduce-partition count.
 	NumReducers int
@@ -170,27 +191,11 @@ type Job struct {
 	// PartitionSplit, when set, may split a pair across reducers
 	// (Section IV-B, case one). It must emit fragments in key order.
 	PartitionSplit func(key, value []byte, numReducers int) []RoutedKV
-	// MergeTransform, when set, rewrites each reducer's merged sorted
-	// stream before grouping (Section IV-B, case two: overlap splitting).
-	// The streaming reduce path feeds it bounded windows of the stream (cut
-	// by MergeCut; the whole stream when MergeCut is nil), so the slice
-	// signature keeps working without materializing the partition.
-	MergeTransform func(pairs []KV) []KV
-	// MergeCut, set alongside MergeTransform, builds one cut predicate per
-	// reduce attempt. The predicate is fed every merged key in stream order
-	// and returns true when that key starts an independent window: the
-	// transform's output for everything before it cannot be affected by
-	// this key or any later one. Overlap splitting already works in such
-	// windows (transitively-overlapping clusters), so the streaming path
-	// stays byte-identical while its lookahead stays bounded. Nil keeps
-	// correctness for arbitrary transforms by buffering the entire stream
-	// as one window.
-	MergeCut func() func(key []byte) bool
-	// ReferenceReduce selects the historical materialize-then-group reduce
-	// path (the whole partition as one in-memory slice) instead of the
-	// streaming one. Outputs and payload counters are byte-identical either
-	// way; the differential suite and the peak-memory benchmarks run both.
-	ReferenceReduce bool
+	// NewSplitter, when set, builds one Splitter per reduce attempt; the
+	// attempt's merged stream passes through it before grouping (Section
+	// IV-B, case two: overlap splitting). OverlapKeySplits counts its output
+	// records minus its input records.
+	NewSplitter func() Splitter
 	// MapOutputCodec compresses spill segments ("Map output materialized
 	// bytes" is measured after this codec). Nil means no compression.
 	MapOutputCodec codec.Codec
@@ -280,7 +285,7 @@ func (j *Job) validate() error {
 		}
 	}
 	if j.Combine != nil {
-		if j.Combine.Combiner == nil {
+		if j.Combiner == nil {
 			return fmt.Errorf("mapreduce: job %q: Combine needs a Combiner", j.Name)
 		}
 		if j.Combine.Nodes < 0 {

@@ -6,6 +6,16 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
+)
+
+// Per-request limits at the HTTP edge. A client that trickles its headers
+// would otherwise hold a connection and goroutine forever, and a /query
+// body is decoded in full before validation; a QuerySpec is a few hundred
+// bytes of JSON, so the cap leaves ample room.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxQueryBytes     = 64 << 10
 )
 
 // Server exposes a Service over HTTP: POST /query executes a QuerySpec,
@@ -24,7 +34,7 @@ func NewServer(addr string, svc *Service) (*Server, error) {
 		return nil, fmt.Errorf("queryd: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	s := &Server{svc: svc, ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{svc: svc, ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}}
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -57,8 +67,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec QuerySpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad query spec: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "bad query spec: " + err.Error()})
 		return
 	}
 	resp, err := s.svc.Submit(spec)

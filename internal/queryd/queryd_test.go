@@ -350,3 +350,33 @@ func TestHTTPServer(t *testing.T) {
 		t.Fatalf("metrics missing scikey_cache_hit_total 1:\n%s", metrics)
 	}
 }
+
+// TestHTTPBodyLimit: a /query body over the cap is refused with 413 before
+// it is decoded in full, and the server keeps answering.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", New(Config{Store: store.NewObject()}))
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer srv.Close()
+	url := "http://" + srv.Addr()
+
+	body := `{"tenant":"` + strings.Repeat("a", maxQueryBytes) + `"}`
+	resp, err := http.Post(url+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /query: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST: status %d, want 413", resp.StatusCode)
+	}
+
+	hr, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz after oversized body: %v", err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d, want 200", hr.StatusCode)
+	}
+}

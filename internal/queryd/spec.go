@@ -181,7 +181,10 @@ func (s QuerySpec) CacheKey() string {
 	if strat.Kind == core.ByteTransform && cdc == "" {
 		cdc = "zlib"
 	}
-	return fmt.Sprintf("v1|side=%d|strat=%s|codec=%s|op=%s|curve=%s|flush=%d|radius=%d|splits=%d|reducers=%d|combine=%t|combine-nodes=%d",
+	// The version prefix names the engine's map-output format: v2 folds
+	// max queries at every spill, which changes their published segments
+	// and map counters, so entries a v1 engine stored must not be restored.
+	return fmt.Sprintf("v2|side=%d|strat=%s|codec=%s|op=%s|curve=%s|flush=%d|radius=%d|splits=%d|reducers=%d|combine=%t|combine-nodes=%d",
 		s.Side, s.Strategy, cdc, op, strat.Curve,
 		s.Flush, s.Radius, s.Splits, s.Reducers, s.Combine, s.CombineNodes)
 }

@@ -49,12 +49,12 @@ func buildMaxJob(t *testing.T, fs *hdfs.FileSystem, cfg QueryConfig, kind string
 // SplitOverlaps to cut, while the split output — and so the reduced groups —
 // stays identical.
 //
-// Which configurations actually fold is geometry-dependent and asserted
-// where guaranteed: agg and box keys carry within-task duplicates (no
-// map-side combiner runs for them), so they fold at any group count; simple
-// max keys are already deduped per task by the map-side combiner, so only
-// the single-group run — where spatially adjacent tasks share a buffer and
-// halo cells meet their duplicates — must fold.
+// Which configurations actually fold is asserted where guaranteed: every
+// geometry's spills already fold each task's own duplicates with the same
+// monoid, so in-node combining folds only cross-task duplicates. The
+// single-group run — where spatially adjacent tasks share a buffer and halo
+// cells meet their duplicates — must fold; two groups pair tasks {0,2} and
+// {1,3}, which share no halo.
 func TestCombineDifferentialQueries(t *testing.T) {
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{24, 16})
 	fs, ds, _ := setup(t, extent)
@@ -123,8 +123,7 @@ func TestCombineDifferentialQueries(t *testing.T) {
 					if got, want := on.ReduceShuffleBytes.Value(), off.ReduceShuffleBytes.Value(); got > want {
 						t.Errorf("ReduceShuffleBytes grew under combining: %d > %d", got, want)
 					}
-					mustFold := kind != "simple" || nodes == 1
-					if mustFold {
+					if nodes == 1 {
 						if on.CombineMergedRecords.Value() <= 0 {
 							t.Error("combining folded nothing; test exercises nothing")
 						}

@@ -70,22 +70,7 @@ func TestMultiVariableAggJob(t *testing.T) {
 			}
 			return out
 		},
-		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
-			aps := make([]keys.AggPair, len(pairs))
-			for i, p := range pairs {
-				k, err := kc.DecodeAgg(serial.NewDataInput(p.Key))
-				if err != nil {
-					panic(err)
-				}
-				aps[i] = keys.AggPair{Key: k, Values: p.Value}
-			}
-			split := keys.SplitOverlaps(aps, ElemSize)
-			out := make([]mapreduce.KV, len(split))
-			for i, p := range split {
-				out[i] = mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
-			}
-			return out
-		},
+		NewSplitter: func() mapreduce.Splitter { return newAggSplitter(kc) },
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
 				box := split.Data.(grid.Box)

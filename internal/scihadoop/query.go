@@ -23,8 +23,8 @@ const (
 	// Median is the paper's evaluation query: holistic, so no combiner can
 	// shrink map output — exactly why intermediate-data size dominates.
 	Median Op = iota
-	// Max is distributive; the simple-key job can run a combiner, giving
-	// the engine's combiner path realistic exercise.
+	// Max is distributive: every key geometry folds its values through the
+	// lane-wise MaxInt32 monoid at spill time, and optionally per node.
 	Max
 )
 
@@ -82,11 +82,11 @@ type QueryConfig struct {
 	FlushCells int
 	// Combine enables in-node combining: committed map outputs are pooled
 	// per node group and runs of equal keys are folded with the operator's
-	// value monoid before the shuffle (mapreduce.CombineConfig). Only
-	// distributive operators combine; a median query rejects it at build
-	// time, since no monoid over partial windows exists for a holistic
-	// operator — the very property that makes the paper's median query's
-	// intermediate data irreducible by combining.
+	// value monoid once more before the shuffle (mapreduce.CombineConfig).
+	// Only distributive operators combine; a median query rejects it at
+	// build time, since no monoid over partial windows exists for a
+	// holistic operator — the very property that makes the paper's median
+	// query's intermediate data irreducible by combining.
 	Combine bool
 	// CombineNodes sets the combine node-group count (0 = one group per
 	// shuffle node when networked, otherwise one group; cluster drivers
@@ -163,16 +163,55 @@ func CombinerFor(op Op) (mapreduce.Combiner, error) {
 	return nil, fmt.Errorf("scihadoop: op %s is holistic: no monoid can merge partial windows, so in-node combining is unavailable", op)
 }
 
-// combineConfig resolves the config's combining request, or nil when off.
-func (c QueryConfig) combineConfig() (*mapreduce.CombineConfig, error) {
-	if !c.Combine {
-		return nil, nil
-	}
+// combining resolves the job's aggregation settings: the operator's value
+// monoid, folded at every spill (nil for holistic operators), and the
+// in-node combine config when Combine asks for it — an error for an
+// operator without a monoid.
+func (c QueryConfig) combining() (mapreduce.Combiner, *mapreduce.CombineConfig, error) {
 	cb, err := CombinerFor(c.Op)
+	switch {
+	case !c.Combine:
+		return cb, nil, nil
+	case err != nil:
+		return nil, nil, err
+	}
+	return cb, &mapreduce.CombineConfig{Nodes: c.CombineNodes}, nil
+}
+
+// overlapSplitter adapts a typed streaming overlap splitter
+// (keys.OverlapSplitter, boxagg.OverlapSplitter) to mapreduce.Splitter:
+// each merged key is decoded exactly once and every fragment is encoded
+// back. A key that fails to decode fails the reduce attempt.
+type overlapSplitter[P any] struct {
+	decode func(kv mapreduce.KV) (P, error)
+	encode func(p P) mapreduce.KV
+	split  interface {
+		Push(p P) []P
+		Flush() []P
+	}
+	out []mapreduce.KV
+}
+
+// Push implements mapreduce.Splitter.
+func (s *overlapSplitter[P]) Push(kv mapreduce.KV) ([]mapreduce.KV, error) {
+	p, err := s.decode(kv)
 	if err != nil {
 		return nil, err
 	}
-	return &mapreduce.CombineConfig{Combiner: cb, Nodes: c.CombineNodes}, nil
+	return s.encodeAll(s.split.Push(p)), nil
+}
+
+// Flush implements mapreduce.Splitter.
+func (s *overlapSplitter[P]) Flush() ([]mapreduce.KV, error) {
+	return s.encodeAll(s.split.Flush()), nil
+}
+
+func (s *overlapSplitter[P]) encodeAll(ps []P) []mapreduce.KV {
+	s.out = s.out[:0]
+	for _, p := range ps {
+		s.out = append(s.out, s.encode(p))
+	}
+	return s.out
 }
 
 // window enumerates the target offsets of the sliding window.
@@ -204,7 +243,7 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 		return nil, nil, err
 	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
+	cb, cc, err := cfg.combining()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,6 +253,7 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 
 	job := &mapreduce.Job{
 		Name:           fmt.Sprintf("%s-simple", op),
+		Combiner:       cb,
 		Combine:        cc,
 		FS:             fs,
 		Splits:         splits,
@@ -263,10 +303,6 @@ func SimpleKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, *keys.C
 				return nil
 			})
 		},
-	}
-	if op == Max {
-		// Max is distributive, so the reducer doubles as combiner.
-		job.NewCombiner = job.NewReducer
 	}
 	return job, kc, nil
 }

@@ -35,7 +35,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		return nil, nil, err
 	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
+	cb, cc, err := cfg.combining()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,6 +50,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		// Lane-wise max commutes with the key-splitting rewrites: slicing a
 		// folded layer equals folding the slices, so combined aggregate
 		// segments split into the same fragments with the same folded cells.
+		Combiner:       cb,
 		Combine:        cc,
 		FS:             fs,
 		Splits:         splits,
@@ -85,47 +86,7 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		},
 
 		// Section IV-B, case two: split overlapping keys at the reducer.
-		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
-			aps := make([]keys.AggPair, len(pairs))
-			for i, p := range pairs {
-				k, err := kc.DecodeAgg(serial.NewDataInput(p.Key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad agg key in merge: %v", err))
-				}
-				aps[i] = keys.AggPair{Key: k, Values: p.Value}
-			}
-			split := keys.SplitOverlaps(aps, ElemSize)
-			out := make([]mapreduce.KV, len(split))
-			for i, p := range split {
-				out[i] = mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
-			}
-			return out
-		},
-
-		// Streaming window cut for the transform above: SplitOverlaps
-		// rewrites transitively-overlapping clusters independently, starting
-		// a new cluster exactly when a key's range begins at or past the
-		// running max Hi (or the variable changes). Cutting the merged
-		// stream on that same boundary keeps the windowed transform
-		// byte-identical to running it over the whole partition.
-		MergeCut: func() func(key []byte) bool {
-			started := false
-			var curVar keys.VarRef
-			var maxHi uint64
-			return func(key []byte) bool {
-				k, err := kc.DecodeAgg(serial.NewDataInput(key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad agg key in merge cut: %v", err))
-				}
-				cut := started && (k.Var != curVar || k.Range.Lo >= maxHi)
-				if cut || !started {
-					curVar, maxHi, started = k.Var, k.Range.Hi, true
-				} else if k.Range.Hi > maxHi {
-					maxHi = k.Range.Hi
-				}
-				return cut
-			}
-		},
+		NewSplitter: func() mapreduce.Splitter { return newAggSplitter(kc) },
 
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
@@ -160,6 +121,24 @@ func AggKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, aggregate.
 		},
 	}
 	return job, mapping, nil
+}
+
+// newAggSplitter builds a reduce attempt's overlap splitter for aggregate
+// keys: keys.OverlapSplitter over the decoded merged stream.
+func newAggSplitter(kc *keys.Codec) mapreduce.Splitter {
+	return &overlapSplitter[keys.AggPair]{
+		decode: func(kv mapreduce.KV) (keys.AggPair, error) {
+			k, err := kc.DecodeAgg(serial.NewDataInput(kv.Key))
+			if err != nil {
+				return keys.AggPair{}, fmt.Errorf("scihadoop: bad agg key in merge: %w", err)
+			}
+			return keys.AggPair{Key: k, Values: kv.Value}, nil
+		},
+		encode: func(p keys.AggPair) mapreduce.KV {
+			return mapreduce.KV{Key: kc.AggKeyBytes(p.Key), Value: p.Values}
+		},
+		split: &keys.OverlapSplitter{ElemSize: ElemSize},
+	}
 }
 
 // aggReducer folds each cell of an aggregate-key group across its layered

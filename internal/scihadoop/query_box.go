@@ -28,7 +28,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 		return nil, err
 	}
 	offsets := window(cfg.DS.Extent.Rank(), cfg.Radius)
-	cc, err := cfg.combineConfig()
+	cb, cc, err := cfg.combining()
 	if err != nil {
 		return nil, err
 	}
@@ -40,6 +40,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 
 	return &mapreduce.Job{
 		Name:           fmt.Sprintf("%s-boxagg", op),
+		Combiner:       cb,
 		Combine:        cc,
 		FS:             fs,
 		Splits:         splits,
@@ -73,47 +74,7 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 			return out
 		},
 
-		MergeTransform: func(pairs []mapreduce.KV) []mapreduce.KV {
-			bps := make([]boxagg.Pair, len(pairs))
-			for i, p := range pairs {
-				k, err := kc.DecodeBox(serial.NewDataInput(p.Key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad box key in merge: %v", err))
-				}
-				bps[i] = boxagg.Pair{Key: k, Values: p.Value}
-			}
-			split := boxagg.SplitOverlaps(bps, ElemSize)
-			out := make([]mapreduce.KV, len(split))
-			for i, p := range split {
-				out[i] = mapreduce.KV{Key: kc.BoxKeyBytes(p.Key), Value: p.Values}
-			}
-			return out
-		},
-
-		// Streaming window cut matching boxagg.SplitOverlaps' dim-0
-		// clustering: a new cluster starts exactly when a box's Corner[0]
-		// reaches the running max upper bound (or the variable changes), so
-		// the windowed transform is byte-identical to the whole-partition
-		// rewrite.
-		MergeCut: func() func(key []byte) bool {
-			started := false
-			var curVar keys.VarRef
-			maxHi := 0
-			return func(key []byte) bool {
-				k, err := kc.DecodeBox(serial.NewDataInput(key))
-				if err != nil {
-					panic(fmt.Sprintf("scihadoop: bad box key in merge cut: %v", err))
-				}
-				hi := k.Box.Corner[0] + k.Box.Size[0]
-				cut := started && (k.Var != curVar || k.Box.Corner[0] >= maxHi)
-				if cut || !started {
-					curVar, maxHi, started = k.Var, hi, true
-				} else if hi > maxHi {
-					maxHi = hi
-				}
-				return cut
-			}
-		},
+		NewSplitter: func() mapreduce.Splitter { return newBoxSplitter(kc) },
 
 		NewMapper: func() mapreduce.Mapper {
 			return mapreduce.MapperFunc(func(ctx *mapreduce.TaskContext, split mapreduce.Split, emit mapreduce.Emit) error {
@@ -163,6 +124,24 @@ func BoxKeyJob(fs *hdfs.FileSystem, cfg QueryConfig) (*mapreduce.Job, error) {
 			})
 		},
 	}, nil
+}
+
+// newBoxSplitter builds a reduce attempt's overlap splitter for box keys:
+// boxagg.OverlapSplitter over the decoded merged stream.
+func newBoxSplitter(kc *keys.Codec) mapreduce.Splitter {
+	return &overlapSplitter[boxagg.Pair]{
+		decode: func(kv mapreduce.KV) (boxagg.Pair, error) {
+			k, err := kc.DecodeBox(serial.NewDataInput(kv.Key))
+			if err != nil {
+				return boxagg.Pair{}, fmt.Errorf("scihadoop: bad box key in merge: %w", err)
+			}
+			return boxagg.Pair{Key: k, Values: kv.Value}, nil
+		},
+		encode: func(p boxagg.Pair) mapreduce.KV {
+			return mapreduce.KV{Key: kc.BoxKeyBytes(p.Key), Value: p.Values}
+		},
+		split: &boxagg.OverlapSplitter{ElemSize: ElemSize},
+	}
 }
 
 // ReadBoxOutput decodes the output of a BoxKeyJob into per-cell results.

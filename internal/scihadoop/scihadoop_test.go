@@ -3,6 +3,7 @@ package scihadoop
 import (
 	"testing"
 
+	"scikey/internal/aggregate"
 	"scikey/internal/codec"
 	"scikey/internal/grid"
 	"scikey/internal/hdfs"
@@ -210,24 +211,42 @@ func TestSimpleMedianWithTransformCodec(t *testing.T) {
 	}
 }
 
+// TestMaxWithCombiner: every key geometry folds the distributive max at
+// spill time through the MaxInt32 monoid and still matches the brute-force
+// reference.
 func TestMaxWithCombiner(t *testing.T) {
 	extent := grid.NewBox(grid.Coord{0, 0}, []int{15, 15})
 	fs, ds, field := setup(t, extent)
-	job, kc, err := SimpleKeyJob(fs, QueryConfig{DS: ds, Op: Max, NumSplits: 3, NumReducers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSimpleOutput(fs, res, kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "max", got, Reference(field, extent, 1, Max))
-	if res.Counters.CombineInputRecords.Value() == 0 {
-		t.Error("combiner did not run for the distributive max query")
+	want := Reference(field, extent, 1, Max)
+	for _, kind := range []string{"simple", "agg", "box"} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := QueryConfig{DS: ds, Op: Max, NumSplits: 3, NumReducers: 2, OutputPath: "/out/max-" + kind}
+			job := buildMaxJob(t, fs, cfg, kind)
+			res, err := mapreduce.Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kc := &keys.Codec{Rank: 2, Mode: cfg.withDefaults().KeyMode}
+			var got CellResults
+			switch kind {
+			case "simple":
+				got, err = ReadSimpleOutput(fs, res, kc)
+			case "agg":
+				var mapping aggregate.Mapping
+				if mapping, err = aggregate.MappingFor("zorder", extent.Expand(1)); err == nil {
+					got, err = ReadAggOutput(fs, res, kc, mapping)
+				}
+			case "box":
+				got, err = ReadBoxOutput(fs, res, kc)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsEqual(t, "max/"+kind, got, want)
+			if res.Counters.CombineInputRecords.Value() == 0 {
+				t.Error("the combiner did not run for the distributive max query")
+			}
+		})
 	}
 }
 
