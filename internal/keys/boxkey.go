@@ -97,16 +97,3 @@ func CompareBox(a, b BoxKey) int {
 	}
 	return 0
 }
-
-// RawCompareBox compares encoded BoxKeys.
-func (c *Codec) RawCompareBox(a, b []byte) int {
-	ka, err := c.DecodeBox(serial.NewDataInput(a))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	kb, err := c.DecodeBox(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	return CompareBox(ka, kb)
-}

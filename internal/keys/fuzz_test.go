@@ -67,3 +67,127 @@ func FuzzDecodeBox(f *testing.F) {
 		}
 	})
 }
+
+// wholeKey is the decode-then-compare oracle's parse: a key is well-formed
+// exactly when dec accepts it and consumes every byte.
+func wholeKey[K any](data []byte, dec func(*serial.DataInput) (K, error)) (K, bool) {
+	in := serial.NewDataInput(data)
+	k, err := dec(in)
+	return k, err == nil && in.Remaining() == 0
+}
+
+func sign(x int) int {
+	switch {
+	case x < 0:
+		return -1
+	case x > 0:
+		return 1
+	}
+	return 0
+}
+
+// checkRawOrder checks raw on keys: a total order (reflexive, antisymmetric,
+// transitive) that agrees in sign with decode-then-cmp whenever both keys
+// are well-formed and puts every malformed key after every well-formed one.
+func checkRawOrder[K any](t *testing.T, raw func(a, b []byte) int,
+	dec func(*serial.DataInput) (K, error), cmp func(a, b K) int, keys ...[]byte) {
+	t.Helper()
+	for _, x := range keys {
+		if r := raw(x, x); r != 0 {
+			t.Fatalf("compare(%x, itself) = %d", x, r)
+		}
+	}
+	for _, x := range keys {
+		kx, okx := wholeKey(x, dec)
+		for _, y := range keys {
+			ky, oky := wholeKey(y, dec)
+			r := sign(raw(x, y))
+			if back := sign(raw(y, x)); back != -r {
+				t.Fatalf("compare(%x, %x) = %d but compare back = %d", x, y, r, back)
+			}
+			switch {
+			case okx && oky:
+				if want := sign(cmp(kx, ky)); r != want {
+					t.Fatalf("compare(%x, %x) = %d, decoded %v vs %v = %d", x, y, r, kx, ky, want)
+				}
+			case okx && r >= 0:
+				t.Fatalf("well-formed %x does not sort before malformed %x", x, y)
+			}
+			for _, z := range keys {
+				if r <= 0 && raw(y, z) <= 0 {
+					xz := raw(x, z)
+					if xz > 0 || xz == 0 && (r < 0 || raw(y, z) < 0) {
+						t.Fatalf("not transitive: %x <= %x <= %x but compare(x, z) = %d", x, y, z, xz)
+					}
+				}
+			}
+		}
+	}
+}
+
+// rawSeedKeys are the keys that break naive byte order: negative
+// coordinates and indices, names of different lengths ("ab" before "b" in
+// name order, after it in length-prefix byte order), and trailing bytes.
+func rawSeedKeys(enc func(v VarRef, fields ...int) []byte) [][]byte {
+	b := enc(VarRef{Name: "b", Index: -1}, -1, 1)
+	return [][]byte{
+		b,
+		enc(VarRef{Name: "ab", Index: 0}, 0, 1),
+		enc(VarRef{Name: "b", Index: 2}, -7, 3),
+		append(append([]byte(nil), b...), 0),
+	}
+}
+
+// addRawSeeds adds each rotation of rawSeedKeys as a triple, in every mode.
+func addRawSeeds(f *testing.F, enc func(c *Codec, v VarRef, fields ...int) []byte) {
+	for _, mode := range []VarMode{VarNone, VarByIndex, VarByName} {
+		c := &Codec{Rank: 2, Mode: mode}
+		ks := rawSeedKeys(func(v VarRef, fields ...int) []byte { return enc(c, v, fields...) })
+		for i := range ks {
+			f.Add(byte(mode), byte(1), ks[i], ks[(i+1)%len(ks)], ks[(i+2)%len(ks)])
+		}
+		if mode == VarByName {
+			// "b" with a two-byte length prefix: a grid key equal to "b",
+			// a malformed aggregate or box key.
+			long := append([]byte{0x8f, 0x01}, ks[0][1:]...)
+			f.Add(byte(mode), byte(1), ks[0], long, ks[1])
+		}
+	}
+}
+
+// FuzzRawCompareGrid: RawCompareGrid is a total order on arbitrary bytes
+// that matches CompareGrid on well-formed keys.
+func FuzzRawCompareGrid(f *testing.F) {
+	addRawSeeds(f, func(c *Codec, v VarRef, fields ...int) []byte {
+		return c.GridKeyBytes(GridKey{Var: v, Coord: grid.Coord(fields)})
+	})
+	f.Fuzz(func(t *testing.T, mode, rank byte, a, b, x []byte) {
+		c := &Codec{Rank: 1 + int(rank%4), Mode: fuzzMode(mode)}
+		checkRawOrder(t, c.RawCompareGrid, c.DecodeGrid, CompareGrid, a, b, x)
+	})
+}
+
+// FuzzRawCompareAgg: RawCompareAgg is a total order on arbitrary bytes that
+// matches CompareAgg on well-formed keys.
+func FuzzRawCompareAgg(f *testing.F) {
+	addRawSeeds(f, func(c *Codec, v VarRef, fields ...int) []byte {
+		lo := uint64(fields[0] + 8) // curve indices are unsigned
+		return c.AggKeyBytes(AggKey{Var: v, Range: sfc.IndexRange{Lo: lo, Hi: lo + uint64(fields[1])}})
+	})
+	f.Fuzz(func(t *testing.T, mode, _ byte, a, b, x []byte) {
+		c := &Codec{Rank: 2, Mode: fuzzMode(mode)}
+		checkRawOrder(t, c.RawCompareAgg, c.DecodeAgg, CompareAgg, a, b, x)
+	})
+}
+
+// FuzzRawCompareBox: RawCompareBox is a total order on arbitrary bytes that
+// matches CompareBox on well-formed keys.
+func FuzzRawCompareBox(f *testing.F) {
+	addRawSeeds(f, func(c *Codec, v VarRef, fields ...int) []byte {
+		return c.BoxKeyBytes(BoxKey{Var: v, Box: grid.NewBox(grid.Coord(fields), []int{fields[1], 2})})
+	})
+	f.Fuzz(func(t *testing.T, mode, rank byte, a, b, x []byte) {
+		c := &Codec{Rank: 1 + int(rank%4), Mode: fuzzMode(mode)}
+		checkRawOrder(t, c.RawCompareBox, c.DecodeBox, CompareBox, a, b, x)
+	})
+}

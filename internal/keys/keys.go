@@ -256,36 +256,6 @@ func compareVar(a, b VarRef) int {
 	return 0
 }
 
-// RawCompareGrid compares two encoded GridKeys without deserializing. Raw
-// byte comparison is semantically correct for the coordinate section only
-// when coordinates are non-negative (big-endian two's complement breaks
-// lexicographic order at the sign bit), so this decodes; the engine treats
-// it as the grouping comparator.
-func (c *Codec) RawCompareGrid(a, b []byte) int {
-	ka, err := c.DecodeGrid(serial.NewDataInput(a))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	kb, err := c.DecodeGrid(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	return CompareGrid(ka, kb)
-}
-
-// RawCompareAgg compares two encoded AggKeys without full deserialization.
-func (c *Codec) RawCompareAgg(a, b []byte) int {
-	ka, err := c.DecodeAgg(serial.NewDataInput(a))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	kb, err := c.DecodeAgg(serial.NewDataInput(b))
-	if err != nil {
-		return serial.CompareBytes(a, b)
-	}
-	return CompareAgg(ka, kb)
-}
-
 // String renders a GridKey for diagnostics.
 func (k GridKey) String() string {
 	if k.Var.Name != "" {

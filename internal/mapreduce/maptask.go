@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -273,8 +273,10 @@ func (t *mapTask) spillParts(parts []partBuffer) error {
 		if len(pb.pairs) == 0 {
 			continue
 		}
-		sort.SliceStable(pb.pairs, func(i, j int) bool {
-			return t.job.Compare(pb.pairs[i].Key, pb.pairs[j].Key) < 0
+		// Stable: emit order of equal keys fixes value order, and so the
+		// output bytes.
+		slices.SortStableFunc(pb.pairs, func(a, b KV) int {
+			return t.job.Compare(a.Key, b.Key)
 		})
 		var src kvStream = pb
 		var comb *combineStream

@@ -53,6 +53,24 @@ type QuerySpec struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
+// Upper bounds on the fields that set what one query costs, checked by
+// Validate. A median query holds side² × (2·radius+1)² map records, and
+// splits × reducers shuffle segments, so without caps a single request
+// could exhaust the memory of the process that runs it. Each cap admits
+// every shape the experiments, the benchmark and the CLI defaults use.
+const (
+	// MaxSide is the largest grid side, the largest any experiment runs
+	// (1,048,576 cells).
+	MaxSide = 1024
+	// MaxRadius is the largest window radius: a 7x7 window, 49 map records
+	// per cell where the paper's 3x3 window emits 9.
+	MaxRadius = 3
+	// MaxSplits is the largest number of map tasks.
+	MaxSplits = 256
+	// MaxReducers is the largest number of reduce tasks.
+	MaxReducers = 256
+)
+
 // ParseStrategy maps the CLI/wire spelling of a strategy to core's terms.
 // Every front end parses the same spelling through here, so the one-shot
 // CLI, the service, and cluster workers cannot drift.
@@ -100,7 +118,8 @@ func (s QuerySpec) queryConfig() (scihadoop.QueryConfig, error) {
 
 // Validate rejects a spec every execution path would reject, with the same
 // error text core.BuildJob produces — the contract that keeps one-shot
-// early validation and wire-spec validation identical.
+// early validation and wire-spec validation identical — and a spec over
+// MaxSide, MaxRadius, MaxSplits or MaxReducers.
 func (s QuerySpec) Validate() error {
 	strat, err := s.ParsedStrategy()
 	if err != nil {
@@ -108,6 +127,19 @@ func (s QuerySpec) Validate() error {
 	}
 	if s.Side <= 0 {
 		return fmt.Errorf("queryd: side must be > 0, got %d", s.Side)
+	}
+	for _, b := range []struct {
+		name     string
+		val, max int
+	}{
+		{"side", s.Side, MaxSide},
+		{"radius", s.Radius, MaxRadius},
+		{"splits", s.Splits, MaxSplits},
+		{"reducers", s.Reducers, MaxReducers},
+	} {
+		if b.val > b.max {
+			return fmt.Errorf("queryd: %s must be <= %d, got %d", b.name, b.max, b.val)
+		}
 	}
 	qcfg, err := s.queryConfig()
 	if err != nil {
